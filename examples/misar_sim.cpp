@@ -161,10 +161,22 @@ parseKillFields(const char *v, const char *seps, std::uint64_t *out,
 }
 
 /**
- * Strict positive-decimal option value. atoi-style parsing silently
- * turns "10x" into 10 and "-5" into a huge unsigned; numeric
- * observability knobs fail loudly instead, like the kill specs.
+ * Strict unsigned-decimal option value covering the full 64-bit
+ * range. atoi-style parsing silently turns "10x" into 10 and "-5"
+ * into a huge unsigned, and atoll clamps every value >= 2^63 to
+ * 2^63 - 1; numeric options fail loudly instead, like the kill specs.
  */
+std::uint64_t
+parseUintArg(const char *opt, const char *v)
+{
+    std::uint64_t val = 0;
+    if (!parseKillFields(v, "", &val, 1))
+        fatal("%s expects an unsigned decimal number below 2^64, got '%s'",
+              opt, v);
+    return val;
+}
+
+/** Strict positive-decimal option value (see parseUintArg). */
 std::uint64_t
 parsePositiveArg(const char *opt, const char *v)
 {
@@ -245,9 +257,9 @@ main(int argc, char **argv)
         } else if (a == "--no-omu") {
             omu = false;
         } else if (a == "--seed") {
-            seed = static_cast<std::uint64_t>(std::atoll(next()));
+            seed = parseUintArg("--seed", next());
         } else if (a == "--tick-limit") {
-            tick_limit = static_cast<std::uint64_t>(std::atoll(next()));
+            tick_limit = parseUintArg("--tick-limit", next());
         } else if (a == "--kill-link") {
             const char *v = next();
             std::uint64_t f[3];

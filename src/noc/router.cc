@@ -1,10 +1,29 @@
 #include "noc/router.hh"
 
+#include <bit>
+
 #include "sim/logging.hh"
 #include "sim/stats.hh"
 
 namespace misar {
 namespace noc {
+
+namespace {
+
+/** Switch-allocation slots: one per (vnet, input), vnet-major. */
+constexpr unsigned numSlots = numVnets * numPorts;
+constexpr unsigned allSlots = (1u << numSlots) - 1;
+static_assert(numSlots <= 16, "occupancy mask is 16 bits wide");
+
+/** The slots of input 0 on every vnet; shift left by an input. */
+constexpr unsigned inputSlots = [] {
+    unsigned m = 0;
+    for (unsigned v = 0; v < numVnets; ++v)
+        m |= 1u << (v * numPorts);
+    return m;
+}();
+
+} // namespace
 
 Router::Router(EventQueue &eq, const NocConfig &cfg, unsigned id, unsigned x,
                unsigned y, unsigned dim)
@@ -15,7 +34,8 @@ Router::Router(EventQueue &eq, const NocConfig &cfg, unsigned id, unsigned x,
         for (unsigned v = 0; v < numVnets; ++v) {
             outOwner[o][v] = -1;
             credits[o][v] = cfg.bufferDepth;
-            inBuf[o][v].init(cfg.bufferDepth);
+            inBuf[o][v].init(cfg.bufferDepth, &occMask,
+                             v * numPorts + o);
         }
     }
 }
@@ -74,16 +94,6 @@ Router::returnCredit(Port out, unsigned vnet)
     scheduleTick();
 }
 
-bool
-Router::hasWork() const
-{
-    for (unsigned p = 0; p < numPorts; ++p)
-        for (unsigned v = 0; v < numVnets; ++v)
-            if (!inBuf[p][v].empty())
-                return true;
-    return false;
-}
-
 void
 Router::scheduleTick()
 {
@@ -139,11 +149,11 @@ Router::dropFront(Port in, unsigned vnet)
 }
 
 bool
-Router::faultDrops(bool served_input[numPorts])
+Router::faultDrops(unsigned &served)
 {
     bool any = false;
     for (unsigned in = 0; in < numPorts; ++in) {
-        if (served_input[in])
+        if (served & (inputSlots << in))
             continue;
         for (unsigned v = 0; v < numVnets; ++v) {
             auto &buf = inBuf[in][v];
@@ -173,7 +183,7 @@ Router::faultDrops(bool served_input[numPorts])
             }
             if (drop) {
                 dropFront(static_cast<Port>(in), v);
-                served_input[in] = true;
+                served |= inputSlots << in;
                 any = true;
                 break;
             }
@@ -263,22 +273,29 @@ Router::tick()
     if (isDead)
         return;
     bool progress = false;
-    bool served_input[numPorts] = {};
+    // Slots of the inputs already served this cycle (each input
+    // forwards at most one flit per cycle).
+    unsigned served = 0;
 
     if (faultsArmed)
-        progress |= faultDrops(served_input);
+        progress |= faultDrops(served);
 
     for (unsigned out = 0; out < numPorts; ++out) {
-        const unsigned slots = numVnets * numPorts;
-        for (unsigned k = 0; k < slots; ++k) {
-            unsigned idx = (rrPtr[out] + k) % slots;
-            unsigned vnet = idx / numPorts;
-            unsigned in = idx % numPorts;
-            if (served_input[in])
-                continue;
+        const unsigned live = occMask & ~served;
+        if (!live)
+            break; // nothing left that any output could forward
+        // Visit the non-empty slots of unserved inputs in round-robin
+        // order: rotate the mask so rrPtr[out] is bit 0, then walk the
+        // set bits upwards.
+        const unsigned rr = rrPtr[out];
+        unsigned cand = ((live >> rr) | (live << (numSlots - rr))) & allSlots;
+        for (; cand; cand &= cand - 1) {
+            unsigned idx = rr + static_cast<unsigned>(std::countr_zero(cand));
+            if (idx >= numSlots)
+                idx -= numSlots;
+            const unsigned vnet = idx / numPorts;
+            const unsigned in = idx - vnet * numPorts;
             auto &buf = inBuf[in][vnet];
-            if (buf.empty())
-                continue;
             Flit &front = buf.front();
 
             // Wormhole allocation: head flits need a free channel on
@@ -317,9 +334,9 @@ Router::tick()
             // Grant: forward this flit.
             Flit flit = std::move(front);
             buf.pop_front();
-            served_input[in] = true;
+            served |= inputSlots << in;
             progress = true;
-            rrPtr[out] = (idx + 1) % slots;
+            rrPtr[out] = idx + 1 == numSlots ? 0 : idx + 1;
 
             // Transient link fault: rolled once per packet per link
             // traversal, on the head; the downstream CRC discards

@@ -21,6 +21,7 @@
 #define MISAR_NOC_ROUTER_HH
 
 #include <array>
+#include <cstdint>
 #include <functional>
 #include <vector>
 
@@ -39,40 +40,48 @@ namespace noc {
  * are credit-bounded to the router's bufferDepth, so the ring never
  * grows and the hot enqueue/dequeue path never allocates (popped
  * slots release their packet shared_ptr but keep the storage).
+ *
+ * The ring keeps its bit of the owning router's occupancy mask set
+ * exactly while it holds a flit: push_back and pop_front are the only
+ * ways its count changes, so no caller can leave the mask stale.
  */
 class FlitRing
 {
   public:
-    /** Size the ring once at construction (cfg.bufferDepth). */
-    void init(unsigned capacity) { slots.resize(capacity); }
+    /** Size the ring once (cfg.bufferDepth) and name its mask bit. */
+    void
+    init(unsigned capacity, std::uint16_t *occ_mask, unsigned bit)
+    {
+        slots.resize(capacity);
+        occ = occ_mask;
+        occBit = static_cast<std::uint16_t>(1u << bit);
+    }
 
     bool empty() const { return count == 0; }
-    unsigned size() const { return static_cast<unsigned>(count); }
+    unsigned size() const { return count; }
     bool full() const { return count == slots.size(); }
 
     Flit &front() { return slots[head]; }
     const Flit &front() const { return slots[head]; }
 
     /** Random read access (0 = front); for reporting only. */
-    const Flit &
-    at(unsigned i) const
-    {
-        return slots[(head + i) % slots.size()];
-    }
+    const Flit &at(unsigned i) const { return slots[wrap(head + i)]; }
 
     void
     push_back(Flit f)
     {
-        slots[(head + count) % slots.size()] = std::move(f);
-        ++count;
+        slots[wrap(head + count)] = std::move(f);
+        if (count++ == 0)
+            *occ |= occBit;
     }
 
     void
     pop_front()
     {
         slots[head] = Flit{}; // drop the packet reference, keep the slot
-        head = (head + 1) % slots.size();
-        --count;
+        head = wrap(head + 1);
+        if (--count == 0)
+            *occ &= static_cast<std::uint16_t>(~occBit);
     }
 
     void
@@ -83,9 +92,19 @@ class FlitRing
     }
 
   private:
+    /** Index modulo capacity for i < 2 * capacity (compare-and-wrap). */
+    unsigned
+    wrap(unsigned i) const
+    {
+        const unsigned cap = static_cast<unsigned>(slots.size());
+        return i >= cap ? i - cap : i;
+    }
+
     std::vector<Flit> slots;
-    std::size_t head = 0;
-    std::size_t count = 0;
+    unsigned head = 0;
+    unsigned count = 0;
+    std::uint16_t *occ = nullptr;
+    std::uint16_t occBit = 0;
 };
 
 /** Router port indices. */
@@ -118,6 +137,9 @@ class Router
   public:
     Router(EventQueue &eq, const NocConfig &cfg, unsigned id, unsigned x,
            unsigned y, unsigned dim);
+    /** The input rings point into this router's occupancy mask. */
+    Router(const Router &) = delete;
+    Router &operator=(const Router &) = delete;
 
     /** Connect output port @p out to neighbour @p next (its @p in). */
     void connect(Port out, Router *next, Port in);
@@ -244,9 +266,10 @@ class Router
      * Fault pre-pass: drop front flits that can never be forwarded
      * (dead output, unroutable destination, severed wormhole body).
      * Returns true when anything was dropped; dropped inputs count
-     * as served for this cycle.
+     * as served for this cycle (their bits are set in @p served, a
+     * mask over the (vnet, input) slots like occMask).
      */
-    bool faultDrops(bool served_input[numPorts]);
+    bool faultDrops(unsigned &served);
 
     /** Drop the front flit of (in, vnet): credit bookkeeping as if
      *  forwarded, dropUntilTail tracking, flit-drop stat. */
@@ -265,7 +288,7 @@ class Router
     void scheduleTick();
 
     /** True if any input buffer holds a flit. */
-    bool hasWork() const;
+    bool hasWork() const { return occMask != 0; }
 
     EventQueue &eq;
     const NocConfig &cfg;
@@ -275,6 +298,9 @@ class Router
 
     /** inBuf[port][vnet] */
     std::array<std::array<FlitRing, numVnets>, numPorts> inBuf;
+    /** Bit vnet*numPorts+port set while inBuf[port][vnet] is
+     *  non-empty (maintained by the rings themselves). */
+    std::uint16_t occMask = 0;
     /** Input (port) currently owning each (output, vnet); -1 = free. */
     std::array<std::array<int, numVnets>, numPorts> outOwner;
     /** Credits available towards downstream (output, vnet). */

@@ -41,6 +41,25 @@ JobSpec::key() const
 
 namespace {
 
+/**
+ * A "seeds" array: every entry an unsigned integer literal below
+ * 2^64, kept exactly. Reading seeds through a double would round any
+ * seed above 2^53 and turn negative or fractional ones into seed 1.
+ */
+bool
+parseSeeds(const Json &arr, std::vector<std::uint64_t> &out,
+           std::string &err)
+{
+    for (const Json &e : arr.arr) {
+        if (!e.exactUint) {
+            err = "\"seeds\" entries must be unsigned integers below 2^64";
+            return false;
+        }
+        out.push_back(e.uint);
+    }
+    return true;
+}
+
 bool
 parsePreset(const Json &j, PresetSpec &p, std::string &err)
 {
@@ -69,8 +88,8 @@ parsePreset(const Json &j, PresetSpec &p, std::string &err)
             err = "preset \"seeds\" must be an array";
             return false;
         }
-        for (const Json &e : s.arr)
-            p.seeds.push_back(e.uintOr(1));
+        if (!parseSeeds(s, p.seeds, err))
+            return false;
     }
     return true;
 }
@@ -129,8 +148,8 @@ CampaignSpec::parse(const std::string &text, CampaignSpec &out,
             return false;
         }
         s.seeds.clear();
-        for (const Json &j : root.at("seeds").arr)
-            s.seeds.push_back(j.uintOr(1));
+        if (!parseSeeds(root.at("seeds"), s.seeds, err))
+            return false;
     }
     s.reps = static_cast<unsigned>(root.at("reps").uintOr(s.reps));
     s.tickLimit = root.at("tickLimit").uintOr(s.tickLimit);

@@ -119,8 +119,15 @@ SubTask<bool>
 SyncLib::swTryLock(ThreadApi t, Addr m)
 {
     co_await t.compute(12);
-    std::uint64_t old = co_await t.compareSwap(m, 0, 1);
-    co_return old == 0;
+    if (!isDeadFn) {
+        std::uint64_t old = co_await t.compareSwap(m, 0, 1);
+        co_return old == 0;
+    }
+    const std::uint64_t me = lockTag(t.id());
+    std::uint64_t old = co_await t.compareSwap(m, 0, me);
+    if (old == 0)
+        co_return true;
+    co_return ownerDead(old) && co_await takeOver(t, m, old);
 }
 
 SubTask<>
@@ -347,6 +354,10 @@ SyncLib::pthreadLock(ThreadApi t, Addr m)
 {
     // Library-call overhead (glibc entry, checks, barriers).
     co_await t.compute(20);
+    if (isDeadFn) {
+        co_await robustLock(t, m);
+        co_return;
+    }
     // Fast path: uncontended CAS 0 -> 1.
     std::uint64_t old = co_await t.compareSwap(m, 0, 1);
     if (old == 0)
@@ -360,6 +371,45 @@ SyncLib::pthreadLock(ThreadApi t, Addr m)
         co_await futexWait(t, m,
                           [](std::uint64_t v) { return v == 0; });
     }
+}
+
+// Robust variant (dead-participant query armed): the word names its
+// owner, lockTag(id) | contended, so a waiter that finds a declared-
+// dead owner can take the lock over — glibc's PTHREAD_MUTEX_ROBUST /
+// EOWNERDEAD, with the dead roster standing in for the kernel. Every
+// update is a CAS: the blind swap(m, 2) would erase the owner.
+
+SubTask<>
+SyncLib::robustLock(ThreadApi t, Addr m)
+{
+    const std::uint64_t me = lockTag(t.id());
+    std::uint64_t old = co_await t.compareSwap(m, 0, me);
+    while (old != 0) {
+        if (ownerDead(old)) {
+            if (co_await takeOver(t, m, old))
+                co_return;
+        } else if ((old & 1) ||
+                   co_await t.compareSwap(m, old, old | 1) == old) {
+            // Marked contended: sleep until the word frees or its
+            // owner is declared dead.
+            co_await futexWait(t, m, [this](std::uint64_t v) {
+                return v == 0 || ownerDead(v);
+            });
+        }
+        // Slow-path acquisitions leave the word contended (glibc's 2).
+        old = co_await t.compareSwap(m, 0, me | 1);
+    }
+}
+
+SubTask<bool>
+SyncLib::takeOver(ThreadApi t, Addr m, std::uint64_t seen)
+{
+    std::uint64_t old =
+        co_await t.compareSwap(m, seen, lockTag(t.id()) | 1);
+    if (old != seen)
+        co_return false; // released, or another waiter took it first
+    t.stats().counter("resil.swLockTakeovers").inc();
+    co_return true;
 }
 
 SubTask<>

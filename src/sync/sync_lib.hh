@@ -115,9 +115,10 @@ class SyncLib
      * early release; the hardware path tracks arrival masks and is
      * exact), and the tournament/dissemination barriers skip a dead
      * peer's flags. Unset (the default), every path is bit-identical
-     * to a build without the feature. Software *locks* stay
-     * unrecoverable: a corpse holding a plain-memory mutex wedges
-     * its waiters (see docs/PROTOCOL.md).
+     * to a build without the feature. The pthread-style mutex
+     * becomes robust: its word names the owner, and a waiter takes
+     * over a lock whose owner is declared dead (counted in
+     * resil.swLockTakeovers; see docs/PROTOCOL.md).
      */
     using DeadQuery = std::function<bool(CoreId)>;
     void setDeadQuery(DeadQuery q) { isDeadFn = std::move(q); }
@@ -127,6 +128,10 @@ class SyncLib
     SubTask<> pthreadLock(ThreadApi t, Addr m);
     SubTask<> pthreadUnlock(ThreadApi t, Addr m);
     SubTask<bool> swTryLock(ThreadApi t, Addr m);
+    /** pthreadLock with owner-tagged words (dead query armed). */
+    SubTask<> robustLock(ThreadApi t, Addr m);
+    /** CAS @p seen (held by a declared-dead owner) to our tag. */
+    SubTask<bool> takeOver(ThreadApi t, Addr m, std::uint64_t seen);
     SubTask<> spinLock(ThreadApi t, Addr m);
     SubTask<> spinUnlock(ThreadApi t, Addr m);
     SubTask<> mcsLock(ThreadApi t, Addr m);
@@ -173,6 +178,22 @@ class SyncLib
     deadParticipant(CoreId core) const
     {
         return isDeadFn && isDeadFn(core);
+    }
+
+    /** Robust-mode mutex word of a lock held by @p core; bit 0 is
+     *  the contended flag. */
+    static std::uint64_t
+    lockTag(CoreId core)
+    {
+        return (static_cast<std::uint64_t>(core) + 1) << 1;
+    }
+
+    /** True if robust-mode word @p w names a declared-dead owner. */
+    bool
+    ownerDead(std::uint64_t w) const
+    {
+        const std::uint64_t tag = w >> 1;
+        return tag != 0 && deadParticipant(static_cast<CoreId>(tag - 1));
     }
 
     /** Declared-dead participants with id below @p goal. */

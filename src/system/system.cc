@@ -220,8 +220,9 @@ System::System(const SystemConfig &cfg_in) : cfg(cfg_in)
     if (wdog && cfg.resil.coreFaultsEnabled() &&
         !cfg.resil.nocFaultsEnabled()) {
         // Peers of a corpse stall until the lease machinery and the
-        // dead declaration reconfigure around it — and a victim that
-        // died holding a *software* lock wedges its waiters forever.
+        // dead declaration reconfigure around it (a fallback mutex it
+        // held is taken over after the declaration; an MCS, ticket
+        // or test-and-set lock it held wedges its waiters forever).
         // Either way the run should be classified (finished /
         // deadlock / limit), not aborted by fatal(): report,
         // attribute, keep draining.
@@ -616,10 +617,11 @@ System::buildStallReport() const
     }
 
     // Core-fault attribution: stalls caused by a dead participant
-    // are transient (until leases and the declaration reconfigure
-    // around the corpse) or — for a corpse that died holding a
-    // *software* lock — unrecoverable; either way the report should
-    // say "fault consequence", not "protocol deadlock".
+    // are transient (until leases, the declaration and fallback-mutex
+    // takeover reconfigure around the corpse) or — for a corpse that
+    // died holding an MCS, ticket or test-and-set lock —
+    // unrecoverable; either way the report should say "fault
+    // consequence", not "protocol deadlock".
     if (cfg.resil.coreFaultsEnabled()) {
         os << "  dead:";
         bool any_dead = false;

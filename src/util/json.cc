@@ -1,6 +1,8 @@
 #include "util/json.hh"
 
+#include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -136,6 +138,13 @@ class Parser
         Json v;
         v.kind = Json::Num;
         v.num = d;
+        if (std::all_of(begin, static_cast<const char *>(end),
+                        [](char c) { return c >= '0' && c <= '9'; })) {
+            errno = 0;
+            const unsigned long long u = std::strtoull(begin, nullptr, 10);
+            v.exactUint = errno != ERANGE;
+            v.uint = v.exactUint ? u : 0;
+        }
         return v;
     }
 

@@ -36,6 +36,10 @@ struct Json
     Kind kind = Null;
     bool boolean = false;
     double num = 0.0;
+    /** A plain unsigned integer literal below 2^64, kept exactly
+     *  (num rounds integers above 2^53, e.g. 64-bit seeds). */
+    bool exactUint = false;
+    std::uint64_t uint = 0;
     std::string str;
     std::vector<Json> arr;
     std::map<std::string, Json> obj;
@@ -59,6 +63,8 @@ struct Json
     std::uint64_t
     uintOr(std::uint64_t def) const
     {
+        if (exactUint)
+            return uint;
         if (!isNum() || num < 0)
             return def;
         return static_cast<std::uint64_t>(num);

@@ -5,8 +5,9 @@
  * holding a hardware lock inside a barrier episode), lease renewal
  * keeping live holders safe, barrier membership reconfiguration on
  * dead-core declaration (hardware and all software flavors), MSA
- * slice failover to a buddy, corefaults-preset end-to-end behavior,
- * and the simulator CLI's kill-spec validation (negative paths).
+ * slice failover to a buddy, robust takeover of a software-fallback
+ * mutex held by a corpse, corefaults-preset end-to-end behavior, and
+ * the simulator CLI's kill-spec and seed validation (negative paths).
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include <sys/wait.h>
 
 #include <cstdio>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -22,6 +24,8 @@
 #include "sync/sync_lib.hh"
 #include "system/presets.hh"
 #include "system/system.hh"
+#include "workload/app_catalog.hh"
+#include "workload/synthetic_app.hh"
 
 namespace misar {
 namespace resil {
@@ -437,6 +441,156 @@ TEST(CoreFaults, CoreFaultPresetRunsToCompletion)
         << "first violation: " << violations.front();
 }
 
+/** Outcome of the fallback-CAS kill scenario below. */
+struct CasKillRun
+{
+    sys::RunOutcome outcome = sys::RunOutcome::LimitReached;
+    Tick casIssued = 0;   ///< tick the victim's CAS left the core
+    Tick lockReturned = 0; ///< tick mutexLock returned to the victim
+    std::uint64_t takeovers = 0;
+    LockShared sh;
+    std::vector<std::string> violations;
+};
+
+/**
+ * Victim 5 enters the hybrid mutex at tick 1000 on MSA-0 (every lock
+ * instruction FAILs into the software fallback) and would then hold
+ * it forever; the 15 peers lock it three times each from tick 3000.
+ * @p kill_at = 0 runs without the kill (to time the victim's CAS).
+ */
+CasKillRun
+runCasKill(Tick kill_at)
+{
+    const CoreId victim = 5;
+    SystemConfig cfg = makeConfig(16, AccelMode::None, 2);
+    if (kill_at)
+        cfg.resil.coreKills.push_back({victim, kill_at});
+    cfg.resil.coreDetectDelay = 5000;
+    cfg.resil.invariantChecks = true;
+    cfg.resil.invariantInterval = 10000;
+    cfg.validate();
+    sys::System s(cfg);
+    CasKillRun r;
+    armCollector(s, r.violations);
+    SyncLib lib(SyncLib::Flavor::Hw, 16);
+    wireDeadQuery(s, lib);
+    r.sh.inCs.assign(1, 0);
+    r.sh.maxInCs.assign(1, 0);
+    r.sh.csCount.assign(1, 0);
+
+    const Addr lock = 0x1000;
+    auto victim_body = [](ThreadApi t, SyncLib *lib, Addr l,
+                          Tick *returned) -> ThreadTask {
+        co_await t.compute(1000);
+        co_await lib->mutexLock(t, l);
+        *returned = t.now();
+        co_await t.compute(1000000); // holds it past every peer's wait
+    };
+    auto peer_body = [](ThreadApi t, SyncLib *lib, LockShared *sh,
+                        Addr l) -> ThreadTask {
+        co_await t.compute(3000);
+        for (int i = 0; i < 3; ++i) {
+            co_await lib->mutexLock(t, l);
+            sh->inCs[0]++;
+            sh->maxInCs[0] = std::max(sh->maxInCs[0], sh->inCs[0]);
+            sh->csCount[0]++;
+            co_await t.compute(100);
+            sh->inCs[0]--;
+            co_await lib->mutexUnlock(t, l);
+        }
+        sh->done++;
+    };
+    for (CoreId c = 0; c < 16; ++c) {
+        if (c == victim)
+            s.start(c, victim_body(s.api(c), &lib, lock, &r.lockReturned));
+        else
+            s.start(c, peer_body(s.api(c), &lib, &r.sh, lock));
+    }
+    // Watch for the victim's only atomic leaving the core.
+    std::function<void()> watch = [&] {
+        if (s.stats().counterValue("core5.atomics") > 0) {
+            r.casIssued = s.eventQueue().now();
+            return;
+        }
+        s.eventQueue().schedule(1, watch);
+    };
+    s.eventQueue().schedule(1000, watch);
+    r.outcome = s.runDetailed(kill_at ? 50000000ULL : 5000ULL);
+    r.takeovers = s.stats().counterValue("resil.swLockTakeovers");
+    return r;
+}
+
+// The victim dies while its fallback CAS is in flight: the CAS lands
+// in memory (the L1 completes it) but the corpse never learns it owns
+// the lock. The word names the corpse, so once the failure detector
+// declares it dead a waiter takes the lock over, and the survivors
+// keep mutual exclusion among themselves.
+TEST(CoreFaults, CorpseWhoseFallbackCasLandedIsTakenOver)
+{
+    const CasKillRun dry = runCasKill(0);
+    ASSERT_GT(dry.casIssued, 0u);
+    ASSERT_GT(dry.lockReturned, dry.casIssued + 1)
+        << "no tick between the CAS leaving the core and landing";
+
+    const CasKillRun r = runCasKill(dry.casIssued + 1);
+    EXPECT_EQ(r.outcome, sys::RunOutcome::Finished)
+        << "waiters wedged on a fallback mutex owned by a corpse";
+    EXPECT_EQ(r.casIssued, dry.casIssued);
+    EXPECT_EQ(r.lockReturned, 0u) << "the victim outlived its CAS";
+    EXPECT_EQ(r.takeovers, 1u);
+    EXPECT_EQ(r.sh.done, 15u);
+    EXPECT_EQ(r.sh.csCount[0], 45u);
+    EXPECT_LE(r.sh.maxInCs[0], 1);
+    EXPECT_TRUE(r.violations.empty())
+        << "first violation: " << r.violations.front();
+}
+
+// Runs of the corefaults preset that hit the tick limit while their
+// survivors spun on a fallback mutex the corpse held (seeds as the
+// benchmark derives them, two of them above 2^63): each must finish
+// with its invariants intact. Two finish by taking the mutex over;
+// raytrace's corpse, on the robust path's CAS-only timing, no longer
+// dies holding it.
+TEST(CoreFaults, CoreFaultPresetRecoversFallbackMutex)
+{
+    struct Case
+    {
+        const char *app;
+        std::uint64_t seed;
+        std::uint64_t takeovers;
+    };
+    const Case cases[] = {
+        {"raytrace", 4, 0},
+        {"radiosity", 6003839248161056871ULL, 1},
+        {"fluidanimate", 1265094156158224713ULL, 1},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.app);
+        // Built as misar_sim and the benchmark build it.
+        SystemConfig cfg;
+        SyncLib::Flavor flavor;
+        ASSERT_TRUE(sys::cliPresetFor("msa-omu2-corefaults", 16, 2, cfg,
+                                      flavor));
+        cfg.seed = c.seed;
+        cfg.validate();
+        sys::System s(cfg);
+        std::vector<std::string> violations;
+        armCollector(s, violations);
+        SyncLib lib(flavor, 16);
+        wireDeadQuery(s, lib);
+        const workload::AppSpec &spec = workload::appByName(c.app);
+        workload::AppLayout layout;
+        for (CoreId t = 0; t < 16; ++t)
+            s.start(t, workload::appThread(s.api(t), spec, layout, &lib,
+                                           16, c.seed));
+        EXPECT_EQ(s.runDetailed(200000000ULL), sys::RunOutcome::Finished);
+        EXPECT_EQ(s.stats().counterValue("resil.swLockTakeovers"),
+                  c.takeovers);
+        EXPECT_TRUE(violations.empty())
+            << "first violation: " << violations.front();
+    }
+}
+
 // ------------------------------------------------------- CLI guards
 
 /** Run the real simulator binary; return its exit code + output. */
@@ -480,6 +634,31 @@ TEST(CoreFaultsCli, MalformedKillSpecsAreRejected)
         EXPECT_EQ(runSim(c.args, out), 1) << out;
         EXPECT_NE(out.find(c.needle), std::string::npos) << out;
     }
+}
+
+TEST(CoreFaultsCli, SeedParsesStrictlyOverThe64BitRange)
+{
+    // --seed takes the whole 64-bit range exactly (derived fault
+    // seeds live above 2^63, where atoll clamped them all to one
+    // seed); junk, negatives and overflow die in the parser.
+    for (const char *bad : {"12x", "-1", "", "0x10",
+                            "18446744073709551616"}) {
+        SCOPED_TRACE(bad);
+        std::string out;
+        EXPECT_EQ(runSim(std::string("--app fft --seed '") + bad + "'",
+                         out),
+                  1)
+            << out;
+        EXPECT_NE(out.find("--seed expects an unsigned decimal"),
+                  std::string::npos)
+            << out;
+    }
+    // Seeds at and above 2^63 are distinct runs, not 2^63 - 1.
+    std::string lo, hi;
+    const std::string args = "--app fft --config msa-omu-faults --seed ";
+    EXPECT_EQ(runSim(args + "9223372036854775807", lo), 0) << lo;
+    EXPECT_EQ(runSim(args + "18446744073709551615", hi), 0) << hi;
+    EXPECT_NE(lo, hi);
 }
 
 TEST(CoreFaultsCli, OutOfRangeKillTargetsAreRejected)

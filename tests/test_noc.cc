@@ -1,16 +1,21 @@
 /**
  * @file
  * Unit tests for the 2D-mesh NoC: delivery, ordering, latency
- * scaling, contention, multi-flit packets, and stress traffic.
+ * scaling, contention, multi-flit packets, stress traffic, and the
+ * switch allocator's grant sequence under faults.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "noc/mesh.hh"
+#include "resil/noc_fault_injector.hh"
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
@@ -342,6 +347,175 @@ TEST_P(HopLatencyTest, LatencyMatchesDistanceFormula)
 
 INSTANTIATE_TEST_SUITE_P(Distances, HopLatencyTest,
                          ::testing::Values<CoreId>(1, 2, 7, 8, 36, 63));
+
+// ---------------------------------------------------------------------
+// Switch allocation
+// ---------------------------------------------------------------------
+
+TEST(FlitRing, OccupancyBitTracksEmptinessAcrossWrap)
+{
+    std::uint16_t mask = 0x8000; // other rings' bits stay untouched
+    FlitRing r;
+    r.init(3, &mask, 4);
+    for (unsigned round = 0; round < 5; ++round) {
+        r.push_back(Flit{});
+        EXPECT_EQ(mask, 0x8010) << round;
+        r.push_back(Flit{});
+        r.pop_front();
+        r.pop_front();
+        EXPECT_EQ(mask, 0x8000) << round; // head walked across the end
+    }
+    for (unsigned i = 0; i < 3; ++i) {
+        Flit f;
+        f.packetSeq = i;
+        r.push_back(f);
+    }
+    EXPECT_TRUE(r.full());
+    EXPECT_EQ(r.at(2).packetSeq, 2u);
+    r.clear();
+    EXPECT_TRUE(r.empty());
+    EXPECT_EQ(mask, 0x8000);
+}
+
+/** A seeded traffic scenario for the grant-sequence golden test. */
+struct GrantScenario
+{
+    const char *name;
+    unsigned dim;
+    int packets;
+    Tick window;                 ///< injection ticks drawn in [0, window)
+    std::vector<LinkKill> linkKills;
+    std::vector<RouterKill> routerKills;
+    double corruptProb;
+    std::uint64_t digest;        ///< FNV-1a of the trace below
+};
+
+/** FNV-1a (64-bit) over @p s. */
+std::uint64_t
+fnv1a(const std::string &s)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (unsigned char c : s) {
+        h ^= c;
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+/**
+ * Run @p sc and return its trace: every delivery as (tick, tile,
+ * tag) in delivery order, then each router's per-port forwarded-flit
+ * count and the NoC stats. Every grant the allocators make shows up
+ * in it as a delivery tick or a forwarded flit.
+ */
+std::string
+grantTrace(const GrantScenario &sc, StatRegistry &stats,
+           std::vector<int> &deliveries)
+{
+    deliveries.assign(static_cast<std::size_t>(sc.packets), 0);
+    EventQueue eq;
+    NocConfig cfg;
+    cfg.reliable = !sc.linkKills.empty() || !sc.routerKills.empty() ||
+                   sc.corruptProb > 0;
+    Mesh mesh(eq, cfg, sc.dim, stats);
+    std::ostringstream os;
+    for (CoreId t = 0; t < sc.dim * sc.dim; ++t)
+        mesh.setSink(t, [&, t](std::shared_ptr<Packet> p) {
+            const int tag = static_cast<TestPacket *>(p.get())->tag;
+            ++deliveries[static_cast<std::size_t>(tag)];
+            os << eq.now() << ' ' << t << ' ' << tag << '\n';
+        });
+    ResilConfig rc;
+    rc.linkKills = sc.linkKills;
+    rc.routerKills = sc.routerKills;
+    rc.flitCorruptProb = sc.corruptProb;
+    rc.faultSeed = 4242;
+    std::unique_ptr<resil::NocFaultInjector> inj;
+    if (cfg.reliable) {
+        inj = std::make_unique<resil::NocFaultInjector>(eq, rc, mesh,
+                                                        stats);
+        inj->start();
+    }
+    Rng rng(977);
+    const unsigned tiles = sc.dim * sc.dim;
+    for (int i = 0; i < sc.packets; ++i) {
+        const CoreId s = static_cast<CoreId>(rng.range(tiles));
+        const CoreId d = static_cast<CoreId>(rng.range(tiles));
+        const unsigned size = rng.range(2) ? ctrlBytes : dataBytes;
+        const unsigned vnet = static_cast<unsigned>(rng.range(2));
+        const Tick at = rng.range(sc.window);
+        eq.schedule(at, [&mesh, s, d, size, vnet, i] {
+            auto p = std::make_shared<TestPacket>(s, d, size, i);
+            p->vnet = vnet;
+            mesh.send(std::move(p));
+        });
+    }
+    EXPECT_TRUE(eq.run(50000000));
+    for (unsigned r = 0; r < tiles; ++r)
+        for (unsigned p = 0; p < numPorts; ++p)
+            os << mesh.router(r).forwardedFlits(static_cast<Port>(p))
+               << (p + 1 < numPorts ? ' ' : '\n');
+    stats.dump(os);
+    return os.str();
+}
+
+void
+PrintTo(const GrantScenario &sc, std::ostream *os)
+{
+    *os << sc.name;
+}
+
+class GrantSequence : public ::testing::TestWithParam<GrantScenario>
+{};
+
+/**
+ * The switch allocator grants flits in the same order as the
+ * original scan over all (vnet, input) buffers per output: the
+ * digests were recorded with that scan. The faulted scenarios drive
+ * the paths that change buffer occupancy outside a plain grant —
+ * fault-time drops, poison tails from reconfiguration, router kills
+ * — and two link kills install new route tables mid-run.
+ */
+TEST_P(GrantSequence, MatchesRecordedDigest)
+{
+    const GrantScenario &sc = GetParam();
+    StatRegistry stats;
+    std::vector<int> deliveries;
+    const std::string trace = grantTrace(sc, stats, deliveries);
+    EXPECT_EQ(fnv1a(trace), sc.digest)
+        << std::hex << "0x" << fnv1a(trace);
+    // Exactly-once delivery, except to and from a killed router.
+    for (int n : deliveries)
+        EXPECT_EQ(n, sc.routerKills.empty() ? 1 : std::min(n, 1));
+    EXPECT_EQ(stats.counterValue("noc.pktsCorrupted") > 0,
+              sc.corruptProb > 0);
+    // Flits were dropped at fault time, not only granted, and every
+    // kill installed new route tables mid-run.
+    EXPECT_EQ(stats.counterValue("noc.flitsDropped") > 0,
+              !sc.linkKills.empty());
+    EXPECT_EQ(stats.counterValue("noc.reconfigs"),
+              sc.linkKills.size() + sc.routerKills.size());
+    // Worms severed by the router kill were flushed with poison tails.
+    EXPECT_EQ(stats.counterValue("noc.poisonTails") > 0,
+              !sc.routerKills.empty());
+    EXPECT_EQ(stats.counterValue("noc.deadLinks"), sc.linkKills.size());
+    EXPECT_EQ(stats.counterValue("noc.deadRouters"),
+              sc.routerKills.size());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Scenarios, GrantSequence,
+    ::testing::Values(
+        GrantScenario{"Clean8x8", 8, 3000, 3000, {}, {}, 0.0,
+                      0x187306068f5c3705ULL},
+        GrantScenario{"LinkKillsCorruptionReroute", 4, 4000, 3000,
+                      {{5, 6, 300}, {9, 10, 1200}, {6, 7, 1800}}, {}, 0.02,
+                      0x1a08eaa4afc2959fULL},
+        GrantScenario{"RouterKill", 4, 4000, 3000, {{1, 2, 400}},
+                      {{10, 700}}, 0.01, 0x99cd6410e86e38bcULL}),
+    [](const ::testing::TestParamInfo<GrantScenario> &i) {
+        return std::string(i.param.name);
+    });
 
 } // namespace
 } // namespace noc

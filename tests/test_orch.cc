@@ -156,6 +156,38 @@ TEST(OrchSpec, PresetSeedOverrideAndShorthandApps)
     EXPECT_EQ(spec.expand().size(), 3 * spec.apps.size());
 }
 
+TEST(OrchSpec, SeedsAreExactUnsignedIntegers)
+{
+    // Seeds above 2^53 survive exactly (a double would round them),
+    // at the top level and per preset.
+    CampaignSpec spec;
+    std::string err;
+    ASSERT_TRUE(CampaignSpec::parse(
+        R"({"presets": ["msa-omu", {"name": "F", "config": "msa-omu",
+                                    "seeds": [18446744073709551615]}],
+            "apps": ["fft"], "seeds": [14565752631745422850]})",
+        spec, err))
+        << err;
+    std::vector<JobSpec> jobs = spec.expand();
+    ASSERT_EQ(jobs.size(), 2u);
+    EXPECT_EQ(jobs[0].seed, 14565752631745422850ULL);
+    EXPECT_EQ(jobs[1].seed, 18446744073709551615ULL);
+
+    // Negative, fractional, overflowing or non-numeric seeds used to
+    // become seed 1 (or a rounded value); now they are rejected.
+    for (const char *bad : {"-1", "1.5", "1e3", "18446744073709551616",
+                            "\"7\""}) {
+        SCOPED_TRACE(bad);
+        CampaignSpec s2;
+        err.clear();
+        EXPECT_FALSE(CampaignSpec::parse(
+            std::string(R"({"presets": ["msa-omu"], "apps": ["fft"],
+                            "seeds": [)") + bad + "]}",
+            s2, err));
+        EXPECT_NE(err.find("unsigned integers"), std::string::npos) << err;
+    }
+}
+
 TEST(OrchSpec, ValidateCatchesBadInput)
 {
     CampaignSpec spec = smokeSpec();
