@@ -13,11 +13,16 @@
  *   simperf                    full run (scale 20, 3 reps per preset)
  *   simperf --smoke            quick run (scale 2, 1 rep) for CI
  *   simperf --out FILE         write the JSON result (default
- *                              BENCH_simperf.json in the CWD)
+ *                              simperf_out.json in the CWD, so a
+ *                              bare run never overwrites the
+ *                              checked-in baseline)
  *   simperf --check FILE       after measuring, compare ticksPerSec
  *                              per preset against the matching mode
  *                              section of FILE; exit 1 if any preset
- *                              regressed more than --tolerance
+ *                              regressed more than --tolerance.
+ *                              FILE must differ from --out (a run
+ *                              checked against its own output passes
+ *                              trivially), else exit 2
  *   simperf --tolerance X      allowed fractional regression (0.15)
  *   simperf --obs-overhead     fault-free observability overhead
  *                              gate: msa16 with the stat sampler +
@@ -35,7 +40,10 @@
  * Besides the serial preset matrix, every full/smoke run sweeps the
  * PDES kernel (`--threads` 1/2/4) over msa64 and the scale-study
  * msa256 preset and records a "threaded" section with per-row
- * speedups vs the threads-1 row. The serial rows stay the CI
+ * speedups vs the threads-1 row, plus the round protocol's exact,
+ * host-independent counts for threads > 1: rounds (simulated ticks
+ * executed), the rounds that ran lane-0 events, barriers, and
+ * cross-partition events. The serial rows stay the CI
  * regression gate (--check ignores the threaded section: host-thread
  * availability varies across machines, so cross-run speedup
  * comparisons are not apples-to-apples).
@@ -52,6 +60,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -151,6 +160,8 @@ struct ThreadedResult
     std::uint64_t events = 0;  ///< executed events of the best rep
     double wallSec = 0.0;      ///< best (smallest) rep wall time
     double speedup = 0.0;      ///< threads-1 row wallSec / this wallSec
+    /** Round-protocol counts of the last rep (zero at threads 1). */
+    sys::System::PdesCounters pdes;
 };
 
 /**
@@ -208,6 +219,7 @@ runThreaded(const char *name, unsigned threads, unsigned scale,
             res.ticks = s.eventQueue().now();
             res.events = s.eventQueue().executedEvents();
         }
+        res.pdes = s.pdesCounters();
     }
     return res;
 }
@@ -235,10 +247,18 @@ runThreadsSweep(unsigned scale, unsigned reps)
                 base_wall = r.wallSec;
             r.speedup = r.wallSec > 0.0 ? base_wall / r.wallSec : 0.0;
             std::printf("%-8s --threads %u  ticks/s=%-9llu wall=%.3fs "
-                        "speedup=%.2fx\n",
+                        "speedup=%.2fx",
                         r.name.c_str(), r.threads,
                         (unsigned long long)(r.ticks / r.wallSec), r.wallSec,
                         r.speedup);
+            if (r.pdes.rounds)
+                std::printf("  rounds=%llu barriers/round=%.3f "
+                            "cross/round=%.1f",
+                            (unsigned long long)r.pdes.rounds,
+                            double(r.pdes.barriers) / double(r.pdes.rounds),
+                            double(r.pdes.crossEvents) /
+                                double(r.pdes.rounds));
+            std::printf("\n");
             rows.push_back(std::move(r));
         }
     }
@@ -286,7 +306,17 @@ writeJson(std::ostream &os, const char *mode, unsigned scale, unsigned reps,
                << ",\"ticks\":" << r.ticks << ",\"events\":" << r.events
                << ",\"wallSec\":" << r.wallSec
                << ",\"ticksPerSec\":" << std::uint64_t(r.ticks / r.wallSec)
-               << ",\"speedup\":" << r.speedup << "}";
+               << ",\"speedup\":" << r.speedup;
+            if (r.pdes.rounds) {
+                const double n = double(r.pdes.rounds);
+                os << ",\"rounds\":" << r.pdes.rounds
+                   << ",\"laneZeroRounds\":" << r.pdes.laneZeroRounds
+                   << ",\"barriers\":" << r.pdes.barriers
+                   << ",\"crossEvents\":" << r.pdes.crossEvents
+                   << ",\"barriersPerRound\":" << r.pdes.barriers / n
+                   << ",\"crossPerRound\":" << r.pdes.crossEvents / n;
+            }
+            os << "}";
         }
         os << "\n]}";
     }
@@ -389,7 +419,7 @@ main(int argc, char **argv)
     setVerbose(false);
     bool smoke = false;
     bool obs_overhead = false;
-    std::string out_path = "BENCH_simperf.json";
+    std::string out_path = "simperf_out.json";
     std::string check_path;
     double tolerance = 0.15;
     bool tolerance_set = false;
@@ -419,6 +449,19 @@ main(int argc, char **argv)
     }
     if (obs_overhead)
         return runObsOverhead(smoke, tolerance_set ? tolerance : 0.03);
+    if (!check_path.empty() && !out_path.empty()) {
+        std::error_code ec;
+        const auto canon = [&ec](const std::string &p) {
+            return std::filesystem::weakly_canonical(p, ec);
+        };
+        if (canon(out_path) == canon(check_path)) {
+            std::fprintf(stderr,
+                         "simperf: --out %s is the --check baseline; "
+                         "write the result elsewhere\n",
+                         out_path.c_str());
+            return 2;
+        }
+    }
     const char *mode = smoke ? "smoke" : "full";
     const unsigned scale = smoke ? 2 : 20;
     const unsigned reps = smoke ? 1 : 3;

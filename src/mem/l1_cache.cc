@@ -11,6 +11,9 @@ L1Cache::L1Cache(EventQueue &eq, const MemConfig &cfg, CoreId core,
     : eq(eq), cfg(cfg), _core(core), numTiles(num_tiles), fmem(fmem),
       send(std::move(send)), stats(stats),
       statPrefix("tile" + std::to_string(core) + ".l1."),
+      hitsStat(stats, statPrefix + "hits"),
+      missesStat(stats, statPrefix + "misses"),
+      evictionsStat(stats, statPrefix + "evictions"),
       mshrs(max_outstanding ? max_outstanding : 1)
 {
     sets.resize(cfg.l1Sets);
@@ -80,7 +83,7 @@ L1Cache::evict(Line &line)
 {
     if (line.state == L1State::Invalid)
         return;
-    stats.counter(statPrefix + "evictions").inc();
+    evictionsStat->inc();
     // Fire-and-forget: the home checks ownership, so a stale put that
     // crosses an Inv/Fwd in flight is dropped there harmlessly.
     if (line.state == L1State::Modified) {
@@ -134,12 +137,12 @@ L1Cache::read(Addr a, AccessCb cb)
     eq.schedule(cfg.l1HitLatency, [this, a, block, cb = std::move(cb)] {
         Line *line = findLine(block);
         if (line) {
-            stats.counter(statPrefix + "hits").inc();
+            hitsStat->inc();
             touch(*line);
             cb(fmem.read(a));
             return;
         }
-        stats.counter(statPrefix + "misses").inc();
+        missesStat->inc();
         Mshr m;
         m.block = block;
         m.kind = Mshr::Kind::Read;
@@ -157,7 +160,7 @@ L1Cache::write(Addr a, std::uint64_t v, AccessCb cb)
         Line *line = findLine(block);
         if (line && (line->state == L1State::Modified ||
                      line->state == L1State::Exclusive)) {
-            stats.counter(statPrefix + "hits").inc();
+            hitsStat->inc();
             line->state = L1State::Modified;
             touch(*line);
             std::uint64_t old = fmem.read(a);
@@ -165,7 +168,7 @@ L1Cache::write(Addr a, std::uint64_t v, AccessCb cb)
             cb(old);
             return;
         }
-        stats.counter(statPrefix + "misses").inc();
+        missesStat->inc();
         Mshr m;
         m.block = block;
         m.kind = Mshr::Kind::Write;
@@ -186,13 +189,13 @@ L1Cache::atomic(Addr a, AtomicOp op, std::uint64_t operand,
         Line *line = findLine(block);
         if (line && (line->state == L1State::Modified ||
                      line->state == L1State::Exclusive)) {
-            stats.counter(statPrefix + "hits").inc();
+            hitsStat->inc();
             line->state = L1State::Modified;
             touch(*line);
             cb(fmem.atomic(a, op, operand, operand2));
             return;
         }
-        stats.counter(statPrefix + "misses").inc();
+        missesStat->inc();
         Mshr m;
         m.block = block;
         m.kind = Mshr::Kind::Atomic;

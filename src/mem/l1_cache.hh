@@ -183,6 +183,9 @@ class L1Cache
     SendFn send;
     StatRegistry &stats;
     std::string statPrefix;
+    LazyStat<StatCounter> hitsStat;
+    LazyStat<StatCounter> missesStat;
+    LazyStat<StatCounter> evictionsStat;
 
     std::vector<std::vector<Line>> sets;
     /** One MSHR per hardware thread sharing this cache. */

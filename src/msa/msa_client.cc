@@ -62,10 +62,17 @@ MsaClientHub::countOp(CoreId core, const cpu::Op &op, bool hw)
 {
     if (op.instr == cpu::SyncInstr::Finish)
         return; // bookkeeping, not a synchronization operation
-    StatRegistry &st = statsOf(core);
-    st.counter(hw ? "sync.hwOps" : "sync.swOps").inc();
-    std::string name = cpu::syncInstrName(op.instr);
-    st.counter("sync." + name + (hw ? ".hw" : ".sw")).inc();
+    PerCore &pc = cores[core];
+    StatCounter *&total = pc.opTotal[hw];
+    if (!total)
+        total = &statsOf(core).counter(hw ? "sync.hwOps" : "sync.swOps");
+    total->inc();
+    StatCounter *&byInstr = pc.opStat[static_cast<unsigned>(op.instr)][hw];
+    if (!byInstr)
+        byInstr = &statsOf(core).counter(
+            "sync." + std::string(cpu::syncInstrName(op.instr)) +
+            (hw ? ".hw" : ".sw"));
+    byInstr->inc();
 }
 
 void

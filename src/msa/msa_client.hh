@@ -137,6 +137,10 @@ class MsaClientHub : public cpu::SyncUnit
     void attachObservers(obs::Tracer *tracer, obs::SyncProfiler *profiler);
 
   private:
+    /** Instructions countOp() counts: every one but Finish (last). */
+    static constexpr unsigned numCountedInstrs =
+        static_cast<unsigned>(cpu::SyncInstr::Finish);
+
     struct PerCore
     {
         bool active = false;
@@ -160,6 +164,11 @@ class MsaClientHub : public cpu::SyncUnit
         /** Flow id carried by the message completing the op (held
          *  grants arrive on the releaser's flow — handoff chains). */
         std::uint64_t respFlowId = 0;
+
+        /** countOp's counters by [instr][hw], resolved on first use:
+         *  totals ("sync.hwOps"/"sync.swOps") and per instruction. */
+        StatCounter *opTotal[2] = {nullptr, nullptr};
+        StatCounter *opStat[numCountedInstrs][2] = {};
 
         /** Locks held via a silent acquire, not yet unlocked. */
         std::set<Addr> silentHeld;

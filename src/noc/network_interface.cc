@@ -29,12 +29,12 @@ NetworkInterface::send(std::shared_ptr<Packet> pkt)
         return;
     }
     pkt->injectTick = eq.now();
-    stats.counter("noc.packetsSent").inc();
+    sentStat->inc();
 
     if (pkt->dst() == _tile) {
         // Local loopback: bypass the mesh with a short fixed latency.
         Sink &s = sink;
-        stats.counter("noc.localLoopbacks").inc();
+        loopbackStat->inc();
         eq.scheduleL(_lane, cfg.routerLatency, [&s, pkt] { s(pkt); });
         return;
     }
@@ -147,9 +147,9 @@ NetworkInterface::eject(Flit flit)
               static_cast<unsigned long long>(flit.packetSeq), got, expect);
     }
     reassembly.erase(flit.packetSeq);
-    stats.counter("noc.packetsRecv").inc();
-    stats.average("noc.packetLatency")
-        .sample(static_cast<double>(eq.now() - flit.pkt->injectTick));
+    recvStat->inc();
+    latencyStat->sample(
+        static_cast<double>(eq.now() - flit.pkt->injectTick));
     if (faultsArmed) {
         // Detour accounting: hops counts routers visited; an XY path
         // visits Manhattan distance + 1 of them.

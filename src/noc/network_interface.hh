@@ -182,6 +182,10 @@ class NetworkInterface
     CoreId _tile;
     LaneId _lane = 0;
     StatRegistry &stats;
+    LazyStat<StatCounter> sentStat{stats, "noc.packetsSent"};
+    LazyStat<StatCounter> recvStat{stats, "noc.packetsRecv"};
+    LazyStat<StatCounter> loopbackStat{stats, "noc.localLoopbacks"};
+    LazyStat<StatAverage> latencyStat{stats, "noc.packetLatency"};
     Sink sink;
 
     struct OutPacket

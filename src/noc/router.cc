@@ -107,11 +107,11 @@ void
 Router::creditUpstream(Port in, unsigned vnet)
 {
     if (in == portLocal) {
-        // The NI lives on this tile's lane.
-        if (localCreditFn) {
-            auto fn = localCreditFn;
-            eq.scheduleL(_lane, 1, [fn, vnet] { fn(vnet); });
-        }
+        // The NI lives on this tile's lane. The event captures the
+        // router, not the std::function, so it stays small and copies
+        // nothing.
+        if (localCreditFn)
+            eq.scheduleL(_lane, 1, [this, vnet] { localCreditFn(vnet); });
     } else if (upstream[in].router) {
         Router *up = upstream[in].router;
         Port up_out = upstream[in].out;

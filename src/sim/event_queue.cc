@@ -14,19 +14,19 @@ EventQueue::~EventQueue()
     for (Bucket &b : buckets) {
         for (EventRecord *r = b.head; r;) {
             EventRecord *next = r->next;
-            r->op(r, false);
+            dropRecord(*r);
             r = next;
         }
     }
     for (Lane &l : lanes) {
         for (EventRecord *r = l.head; r;) {
             EventRecord *next = r->next;
-            r->op(r, false);
+            dropRecord(*r);
             r = next;
         }
     }
     for (EventRecord *r : overflow)
-        r->op(r, false);
+        dropRecord(*r);
 }
 
 void
@@ -121,13 +121,12 @@ EventQueue::insert(EventRecord *r)
         pstats.maxPending = numPending;
 }
 
-void
-EventQueue::insertForeign(LaneId lane, Tick when, Tick sendTick,
-                          LaneId senderLane, Callback fn)
+EventQueue::EventRecord *
+EventQueue::foreignRecord(LaneId lane, Tick when, Tick sendTick,
+                          LaneId senderLane)
 {
-    // when == _now is legal: the engine drains mailboxes after
-    // aligning the clock to the window tick but before running it,
-    // so a delivery dated exactly this tick still executes in order.
+    // when == _now is legal: a mailbox delivery dated exactly the
+    // tick about to run still executes in key order.
     if (when < _now)
         panic("foreign event at tick %llu but now is %llu "
               "(cross-partition events need >= 1 tick of lookahead)",
@@ -142,7 +141,15 @@ EventQueue::insertForeign(LaneId lane, Tick when, Tick sendTick,
     r->seq = nextSeq++;
     r->lane = lane;
     r->senderLane = senderLane;
-    storeCallable(r, std::move(fn));
+    return r;
+}
+
+void
+EventQueue::insertForeign(EventRecord &mail)
+{
+    EventRecord *r =
+        foreignRecord(mail.lane, mail.when, mail.sendTick, mail.senderLane);
+    mail.op(&mail, Act::Move, r);
     insert(r);
 }
 
@@ -268,7 +275,7 @@ EventQueue::runTick(Tick t)
                 lane.tail = nullptr;
             --numPending;
             ++executed;
-            r->op(r, true);
+            r->op(r, Act::Run, nullptr);
             freeRecord(r);
         }
         laneOcc[l >> 6] &= ~(std::uint64_t{1} << (l & 63));

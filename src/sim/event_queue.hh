@@ -43,7 +43,6 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <new>
 #include <type_traits>
@@ -65,9 +64,6 @@ namespace misar {
 class EventQueue
 {
   public:
-    /** Legacy callback alias; schedule() takes any callable. */
-    using Callback = std::function<void()>;
-
     /** Why drain() returned. */
     enum class DrainResult
     {
@@ -92,16 +88,57 @@ class EventQueue
         std::uint64_t laneSorts = 0;
     };
 
+    /** What a record's op does with its stored callable. */
+    enum class Act : std::uint8_t
+    {
+        Run,  ///< invoke, then destroy
+        Drop, ///< destroy without invoking
+        Move, ///< relocate into another record's storage
+    };
+
+    /** Inline callback buffer: sized for the fattest hot-path lambda
+     *  (L1 atomic: this + addr + op + 2 operands + block + bound
+     *  std::function callback) with headroom. */
+    static constexpr std::size_t inlineBytes = 96;
+
+    /**
+     * One pending event: its deterministic key plus the callable,
+     * stored inline. Public because cross-partition mail uses the
+     * same format (sim/parallel.cc): a mailbox slot is an
+     * EventRecord that the receiving queue relocates into its own
+     * pool with insertForeign().
+     */
+    struct EventRecord
+    {
+        Tick when;
+        Tick sendTick;
+        std::uint64_t seq;
+        LaneId lane;
+        LaneId senderLane;
+        EventRecord *next;
+        /** Run, drop, or relocate (into @p dst) the stored callable. */
+        void (*op)(EventRecord *self, Act act, EventRecord *dst);
+        alignas(std::max_align_t) unsigned char storage[inlineBytes];
+    };
+
+    /** Destroy a record's callable without running it. */
+    static void
+    dropRecord(EventRecord &r)
+    {
+        r.op(&r, Act::Drop, nullptr);
+    }
+
     /**
      * Hook routing cross-partition events to their owning queue
      * (sim/parallel.cc installs one per worker). Receives the
-     * destination lane, absolute tick, and the sender's identity so
-     * the receiving queue can file the event under the same
-     * deterministic key it would have had if inserted inline.
+     * destination lane and absolute tick, and returns a mail slot;
+     * scheduleCross() fills in the sender's key and constructs the
+     * callable in place, so the receiving queue files the event under
+     * the same deterministic key it would have had if inserted
+     * inline.
      */
-    using CrossHook = void (*)(void *ctx, LaneId dstLane, Tick when,
-                               Tick sendTick, LaneId senderLane,
-                               Callback fn);
+    using CrossHook = EventRecord *(*)(void *ctx, LaneId dstLane,
+                                       Tick when);
 
     EventQueue();
     ~EventQueue();
@@ -181,8 +218,12 @@ class EventQueue
         }
         if (delay == 0)
             panic("zero-delay cross-partition event to lane %u", dstLane);
-        crossHook(crossCtx, dstLane, _now + delay, _now, curLane,
-                  Callback(std::forward<F>(f)));
+        EventRecord *m = crossHook(crossCtx, dstLane, _now + delay);
+        m->when = _now + delay;
+        m->sendTick = _now;
+        m->lane = dstLane;
+        m->senderLane = curLane;
+        storeCallable(m, std::forward<F>(f));
     }
 
     /**
@@ -201,11 +242,23 @@ class EventQueue
 
     /**
      * Insert an event delivered from another partition's mailbox,
-     * preserving the sender's deterministic ordering key. Only the
-     * parallel kernel calls this, between tick barriers.
+     * preserving the sender's deterministic ordering key. The
+     * callable is relocated out of @p mail, which is left empty.
+     * Only the parallel kernel calls this, between tick barriers.
      */
-    void insertForeign(LaneId lane, Tick when, Tick sendTick,
-                       LaneId senderLane, Callback fn);
+    void insertForeign(EventRecord &mail);
+
+    /** As above, for a callable built by the caller under the given
+     *  sender key (merge-order tests). */
+    template <typename F>
+    void
+    insertForeign(LaneId lane, Tick when, Tick sendTick, LaneId senderLane,
+                  F &&f)
+    {
+        EventRecord *r = foreignRecord(lane, when, sendTick, senderLane);
+        storeCallable(r, std::forward<F>(f));
+        insert(r);
+    }
 
     /** True when no events remain. */
     bool empty() const { return numPending == 0; }
@@ -274,25 +327,8 @@ class EventQueue
     static constexpr std::size_t numBuckets = std::size_t{1} << bucketBits;
     static constexpr std::size_t bucketMask = numBuckets - 1;
     static constexpr std::size_t numWords = numBuckets / 64;
-    /** Inline callback buffer: sized for the fattest hot-path lambda
-     *  (L1 atomic: this + addr + op + 2 operands + block + bound
-     *  std::function callback) with headroom. */
-    static constexpr std::size_t inlineBytes = 96;
     /** Event records per pool chunk. */
     static constexpr std::size_t chunkSize = 512;
-
-    struct EventRecord
-    {
-        Tick when;
-        Tick sendTick;
-        std::uint64_t seq;
-        LaneId lane;
-        LaneId senderLane;
-        EventRecord *next;
-        /** Run (and destroy) or just destroy the stored callable. */
-        void (*op)(EventRecord *, bool run);
-        alignas(std::max_align_t) unsigned char storage[inlineBytes];
-    };
 
     struct Bucket
     {
@@ -311,20 +347,29 @@ class EventQueue
 
     template <typename Fn>
     static void
-    opInline(EventRecord *r, bool run)
+    opInline(EventRecord *r, Act act, EventRecord *dst)
     {
         Fn *f = std::launder(reinterpret_cast<Fn *>(r->storage));
-        if (run)
+        if (act == Act::Run) {
             (*f)();
+        } else if (act == Act::Move) {
+            ::new (static_cast<void *>(dst->storage)) Fn(std::move(*f));
+            dst->op = &opInline<Fn>;
+        }
         f->~Fn();
     }
 
     template <typename Fn>
     static void
-    opBoxed(EventRecord *r, bool run)
+    opBoxed(EventRecord *r, Act act, EventRecord *dst)
     {
         Fn **p = std::launder(reinterpret_cast<Fn **>(r->storage));
-        if (run)
+        if (act == Act::Move) {
+            ::new (static_cast<void *>(dst->storage)) (Fn *)(*p);
+            dst->op = &opBoxed<Fn>;
+            return;
+        }
+        if (act == Act::Run)
             (**p)();
         delete *p;
     }
@@ -385,6 +430,10 @@ class EventQueue
             ++pstats.heapCallbacks;
         }
     }
+
+    /** Allocate and key a record for a foreign (mailed) event. */
+    EventRecord *foreignRecord(LaneId lane, Tick when, Tick sendTick,
+                               LaneId senderLane);
 
     EventRecord *allocRecord();
     void growPool();

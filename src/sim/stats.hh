@@ -14,6 +14,8 @@
 #include <map>
 #include <ostream>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace misar {
@@ -183,6 +185,41 @@ class StatRegistry
     std::map<std::string, StatCounter> counters;
     std::map<std::string, StatAverage> averages;
     std::map<std::string, StatHistogram> histograms;
+};
+
+/**
+ * A statistic of @p reg resolved by name on first use and by pointer
+ * after, so hot paths count without building the name string on
+ * every access. The statistic still appears in dumps only once
+ * touched. Registry entries never move and reset() zeroes them in
+ * place, so the pointer stays valid for the registry's lifetime.
+ */
+template <typename Stat>
+class LazyStat
+{
+  public:
+    LazyStat(StatRegistry &reg, std::string name)
+        : reg(&reg), name(std::move(name))
+    {}
+
+    Stat &
+    operator*()
+    {
+        if (!stat) {
+            if constexpr (std::is_same_v<Stat, StatCounter>)
+                stat = &reg->counter(name);
+            else
+                stat = &reg->average(name);
+        }
+        return *stat;
+    }
+
+    Stat *operator->() { return &**this; }
+
+  private:
+    StatRegistry *reg;
+    std::string name;
+    Stat *stat = nullptr;
 };
 
 } // namespace misar

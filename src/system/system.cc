@@ -10,6 +10,46 @@
 namespace misar {
 namespace sys {
 
+std::vector<unsigned>
+partitionTiles(unsigned dim, unsigned parts)
+{
+    const unsigned tiles = dim * dim;
+    if (parts == 0 || parts > tiles)
+        panic("cannot cut %u tiles into %u partitions", tiles, parts);
+    // Cut units: whole rows when there are enough of them, else tiles.
+    const unsigned per = parts <= dim ? dim : 1;
+    const unsigned units = tiles / per;
+    std::vector<std::uint64_t> prefix(units + 1, 0);
+    for (unsigned u = 0; u < units; ++u) {
+        const std::uint64_t y = u * per / dim;
+        prefix[u + 1] = prefix[u] + per * (y + 1) * (dim - y);
+    }
+    const std::uint64_t total = prefix[units];
+    // Cut p ideally sits where the prefix weight reaches p/parts of
+    // the total; compare parts * prefix against p * total to stay in
+    // integers. Ties go to the earlier unit.
+    std::vector<unsigned> part(tiles, 0);
+    unsigned begin = 0;
+    for (unsigned p = 1; p <= parts; ++p) {
+        unsigned end = units;
+        if (p < parts) {
+            const std::uint64_t target = p * total;
+            auto dist = [&](unsigned u) {
+                const std::uint64_t w = parts * prefix[u];
+                return w > target ? w - target : target - w;
+            };
+            end = begin + 1;
+            for (unsigned u = end + 1; u <= units - (parts - p); ++u)
+                if (dist(u) < dist(end))
+                    end = u;
+        }
+        for (unsigned t = begin * per; t < end * per; ++t)
+            part[t] = p - 1;
+        begin = end;
+    }
+    return part;
+}
+
 System::System(const SystemConfig &cfg_in) : cfg(cfg_in)
 {
     cfg.validate();
@@ -36,9 +76,9 @@ System::System(const SystemConfig &cfg_in) : cfg(cfg_in)
         }
         rt.queues.resize(cfg.numCores);
         rt.shards.resize(cfg.numCores);
+        const std::vector<unsigned> cut = partitionTiles(cfg.meshDim(), P);
         for (CoreId t = 0; t < cfg.numCores; ++t) {
-            const unsigned p = static_cast<unsigned>(
-                (static_cast<std::uint64_t>(t) * P) / cfg.numCores);
+            const unsigned p = cut[t];
             rt.queues[t] = partQueues[p].get();
             laneToPart[cfg.laneOf(t)] = p;
             statShards.push_back(std::make_unique<StatRegistry>());
@@ -370,11 +410,38 @@ System::allFinished() const
     return true;
 }
 
+namespace {
+
+/** The serial queue in the shape runLoop() drives. */
+struct SerialKernel
+{
+    EventQueue &eq;
+
+    void runUntil(Tick until) { eq.runUntil(until); }
+    void drainAll() { eq.run(); }
+    std::size_t pending() const { return eq.pending(); }
+};
+
+} // namespace
+
 RunOutcome
 System::runDetailed(Tick limit)
 {
-    const RunOutcome o = cfg.simThreads > 1 ? runParallel(limit)
-                                            : runSerial(limit);
+    RunOutcome o;
+    if (cfg.simThreads > 1) {
+        std::vector<EventQueue *> pq;
+        for (auto &q : partQueues)
+            pq.push_back(q.get());
+        ParallelEngine engine(eq, std::move(pq), laneToPart);
+        o = runLoop(limit, engine);
+        pdes.rounds += engine.rounds();
+        pdes.laneZeroRounds += engine.laneZeroRounds();
+        pdes.barriers += engine.barriers();
+        pdes.crossEvents += engine.crossEvents();
+    } else {
+        SerialKernel serial{eq};
+        o = runLoop(limit, serial);
+    }
     mergeShards();
     return o;
 }
@@ -410,49 +477,9 @@ System::liveSuffixSum(const std::string &suffix) const
     return v;
 }
 
+template <typename Kernel>
 RunOutcome
-System::runParallel(Tick limit)
-{
-    std::vector<EventQueue *> pq;
-    for (auto &q : partQueues)
-        pq.push_back(q.get());
-    ParallelEngine engine(eq, std::move(pq), laneToPart);
-
-    // Mirror runSerial exactly: same chunking, same stop checks at
-    // the same boundaries — that equivalence is what the determinism
-    // suite pins (threads N stats-identical to threads 1).
-    const Tick chunk = 10000;
-    const Tick start = eq.now();
-    const Tick deadline = (limit == maxTick) ? maxTick : start + limit;
-    for (;;) {
-        Tick until = (deadline - eq.now() < chunk) ? deadline
-                                                   : eq.now() + chunk;
-        engine.runUntil(until);
-        if (allFinished()) {
-            if (checker) {
-                engine.drainAll();
-                checker->atQuiesce();
-            }
-            return RunOutcome::Finished;
-        }
-        std::size_t maint =
-            (wdog ? wdog->pendingMaintenance() : 0u) +
-            (checker ? checker->pendingMaintenance() : 0u) +
-            (_sampler ? _sampler->pendingMaintenance() : 0u);
-        if (engine.pending() <= maint) {
-            warn("event queue drained with threads still blocked "
-                 "(deadlock) at tick %llu",
-                 static_cast<unsigned long long>(eq.now()));
-            warn("%s", buildStallReport().c_str());
-            return RunOutcome::Deadlock;
-        }
-        if (eq.now() >= deadline)
-            return RunOutcome::LimitReached;
-    }
-}
-
-RunOutcome
-System::runSerial(Tick limit)
+System::runLoop(Tick limit, Kernel &kernel)
 {
     // Run in slices so we can stop as soon as all threads are done
     // (background NoC/coherence events may still be queued).
@@ -462,14 +489,14 @@ System::runSerial(Tick limit)
     for (;;) {
         Tick until = (deadline - eq.now() < chunk) ? deadline
                                                    : eq.now() + chunk;
-        eq.runUntil(until);
+        kernel.runUntil(until);
         if (allFinished()) {
             if (checker) {
                 // Settle in-flight background traffic so the strict
                 // end-state checks see a quiesced system. Safe: the
                 // interrupt driver, watchdog, and checker all stop
                 // once every thread has finished.
-                eq.run();
+                kernel.drainAll();
                 checker->atQuiesce();
             }
             return RunOutcome::Finished;
@@ -480,7 +507,7 @@ System::runSerial(Tick limit)
             (wdog ? wdog->pendingMaintenance() : 0u) +
             (checker ? checker->pendingMaintenance() : 0u) +
             (_sampler ? _sampler->pendingMaintenance() : 0u);
-        if (eq.pending() <= maint) {
+        if (kernel.pending() <= maint) {
             warn("event queue drained with threads still blocked "
                  "(deadlock) at tick %llu",
                  static_cast<unsigned long long>(eq.now()));

@@ -59,6 +59,21 @@ runOutcomeName(RunOutcome o)
 }
 
 /**
+ * PDES partition of every tile of a @p dim x @p dim mesh over
+ * @p parts host threads: contiguous ranges of the tile order, each
+ * non-empty, of as equal cumulative weight as the cut points allow.
+ * A tile weighs its row's XY through-traffic, (y+1)(dim-y): under XY
+ * routing the middle rows carry most of the Y-leg flit hops, so an
+ * even cut overloads the middle partitions. Cuts fall on row
+ * boundaries whenever there are at least as many rows as parts (each
+ * cut then crosses exactly dim vertical links) and on tile
+ * boundaries otherwise. Each cut is the point nearest its target
+ * weight that leaves every later part a unit. O(dim^2).
+ * @pre 1 <= parts <= dim * dim.
+ */
+std::vector<unsigned> partitionTiles(unsigned dim, unsigned parts);
+
+/**
  * A complete simulated chip. Construct, start one thread body per
  * core, then run().
  */
@@ -102,6 +117,17 @@ class System
 
     /** True once every started thread has finished. */
     bool allFinished() const;
+
+    /** Round-protocol counters of the threaded kernel, summed over
+     *  runDetailed() calls; all zero under `--threads 1`. */
+    struct PdesCounters
+    {
+        std::uint64_t rounds = 0;         ///< simulated ticks executed
+        std::uint64_t laneZeroRounds = 0; ///< rounds that ran lane 0
+        std::uint64_t barriers = 0;       ///< barriers every thread passed
+        std::uint64_t crossEvents = 0;    ///< cross-partition mail
+    };
+    const PdesCounters &pdesCounters() const { return pdes; }
 
     /**
      * Human-readable stall report: per-thread outstanding operations,
@@ -181,11 +207,14 @@ class System
     /** Construct + wire cfg.obs-enabled components (ctor tail). */
     void applyObservability();
 
-    /** Serial run loop (the pre-PDES kernel; `--threads 1`). */
-    RunOutcome runSerial(Tick limit);
-
-    /** PDES run loop: partitions the mesh over cfg.simThreads. */
-    RunOutcome runParallel(Tick limit);
+    /**
+     * The run loop of both kernels, in 10000-tick chunks with the same
+     * stop checks at the same boundaries — the equivalence the
+     * determinism suite pins. @p kernel is the serial queue's adapter
+     * or the PDES engine: runUntil(t), drainAll(), pending().
+     */
+    template <typename Kernel>
+    RunOutcome runLoop(Tick limit, Kernel &kernel);
 
     /** Fold per-tile stat shards into _stats (end of a run). */
     void mergeShards();
@@ -199,6 +228,7 @@ class System
     std::vector<std::unique_ptr<StatRegistry>> statShards;
     /** Partition index per lane (lane 0 -> simThreads = global). */
     std::vector<unsigned> laneToPart;
+    PdesCounters pdes;
     /** Tile -> queue/shard/lane routing handed to every component. */
     TileRuntime rt;
     std::unique_ptr<mem::MemSystem> ms;

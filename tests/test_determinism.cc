@@ -204,7 +204,9 @@ expectStatsIdenticalAcrossThreads(sys::PaperConfig pc, unsigned cores,
 {
     RunSnapshot t1 = runOnce(pc, cores, app, 7, 1, /*profile=*/false);
     EXPECT_FALSE(t1.statsDump.empty());
-    for (unsigned n : {2u, 4u}) {
+    // 3 threads cut the mesh unevenly (row weights do not split in
+    // thirds), 2 and 4 evenly on 4x4 and 8x8.
+    for (unsigned n : {2u, 3u, 4u}) {
         RunSnapshot tn = runOnce(pc, cores, app, 7, n, false);
         EXPECT_EQ(t1.makespan, tn.makespan) << "threads=" << n;
         EXPECT_EQ(t1.statsDump, tn.statsDump) << "threads=" << n;
@@ -231,6 +233,54 @@ TEST(Determinism, FaultedStatsIdenticalAcrossThreadCounts)
     // cross-thread-count probe.
     expectStatsIdenticalAcrossThreads(sys::PaperConfig::MsaOmu2Faults,
                                       16, "radiosity");
+}
+
+TEST(Determinism, CoreFaultsStatsIdenticalAcrossThreadCounts)
+{
+    // The core kill is a lane-0 event that reaches into one tile; the
+    // lease probes and barrier reconfiguration it triggers then cross
+    // partitions.
+    expectStatsIdenticalAcrossThreads(
+        sys::PaperConfig::MsaOmu2CoreFaults, 16, "radiosity");
+}
+
+TEST(Determinism, NocFaultsStatsIdenticalAcrossThreadCounts)
+{
+    // Corrupted packets, retransmission timers and a link killed
+    // mid-run (rerouting) all cross partitions.
+    expectStatsIdenticalAcrossThreads(sys::PaperConfig::MsaOmu2NocFaults,
+                                      16, "radiosity");
+}
+
+TEST(Determinism, Msa256StatsIdenticalAcrossThreadCounts)
+{
+    // The scale-study mesh: 16x16 is where the weighted cut departs
+    // from the even one (rows 5/8/11 at 4 threads).
+    const workload::AppSpec spec = workload::appByName("fft");
+    auto run = [&spec](unsigned threads) {
+        SystemConfig cfg;
+        sync::SyncLib::Flavor flavor;
+        EXPECT_TRUE(sys::cliPresetFor("msa256", 0, 2, cfg, flavor));
+        cfg.seed = 7;
+        cfg.simThreads = threads;
+        sys::System s(cfg);
+        sync::SyncLib lib(flavor, cfg.numCores);
+        workload::AppLayout layout;
+        for (CoreId t = 0; t < cfg.numCores; ++t)
+            s.start(t, workload::appThread(s.api(t), spec, layout, &lib,
+                                           cfg.numCores, 7));
+        EXPECT_EQ(s.runDetailed(2000000000ULL), sys::RunOutcome::Finished);
+        std::ostringstream os;
+        s.stats().dump(os);
+        return std::make_pair(s.eventQueue().now(), os.str());
+    };
+    const auto t1 = run(1);
+    EXPECT_FALSE(t1.second.empty());
+    for (unsigned n : {2u, 3u, 4u}) {
+        const auto tn = run(n);
+        EXPECT_EQ(t1.first, tn.first) << "threads=" << n;
+        EXPECT_EQ(t1.second, tn.second) << "threads=" << n;
+    }
 }
 
 TEST(Determinism, ServerStatsIdenticalAcrossThreadCounts)
